@@ -1,5 +1,9 @@
 //! Criterion benches for the `randCl` biased CTRW (§3.1) across
 //! overlay sizes and walk-length factors.
+//!
+//! The size sweep reaches 512 and 4096 clusters: a walk there takes
+//! ~log²m hops over an overlay far larger than cache, which is where the
+//! per-hop lookup cost of the kernel shows (the small sizes fit in L1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use now_core::{NowParams, NowSystem};
@@ -10,7 +14,7 @@ fn bench_randcl_scaling(c: &mut Criterion) {
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
-    for clusters in [8usize, 16, 32] {
+    for clusters in [8usize, 16, 32, 512, 4096] {
         let params = NowParams::new(1 << 12, 2, 1.5, 0.30, 0.05).unwrap();
         let n0 = clusters * params.target_cluster_size();
         let mut sys = NowSystem::init_fast(params, n0, 0.10, 11);

@@ -10,15 +10,26 @@
 //! size-biased acceptance yields the target distribution `(|C|/n)` —
 //! i.e. a uniformly random *node*'s cluster.
 //!
-//! Byzantine influence: each hop's collective choices run through
-//! [`crate::NowSystem::rand_num_in`], so a cluster with ≥ 1/3 Byzantine
-//! members lets the adversary steer the hop (and [`crate::Malice`] may
-//! redirect it outright). Every hop is also a quorum-validated
-//! cluster-to-cluster message, accounted as `|C|·|C'|` message units.
+//! Byzantine influence: each hop's collective choices run through the
+//! shared `randNum` draw ([`crate::system::collective_draw`]), so a
+//! cluster with ≥ 1/3 Byzantine members lets the adversary steer the
+//! hop (and [`crate::Malice`] may redirect it outright). Every hop is
+//! also a quorum-validated cluster-to-cluster message, accounted as
+//! `|C|·|C'|` message units.
+//!
+//! **Why the walk keeps no cache.** A hop needs the current cluster's
+//! neighbor list and `(size, randNum security)`, and the next cluster's
+//! size. The overlay and the registry both resolve a cluster id with
+//! one direct-index load (their dense-id contract), so the neighbor
+//! slice is borrowed straight from the overlay slab, and the next
+//! cluster's facts are looked up once when it is chosen and carried
+//! forward as the following hop's current facts. A per-walk memo of
+//! those facts would cost a map insert per visited cluster to save a
+//! lookup that is already O(1).
 
-use crate::system::NowSystem;
+use crate::malice::RandNumPurpose;
+use crate::system::{collective_draw, NowSystem};
 use now_net::{ClusterId, CostKind};
-use std::collections::BTreeMap;
 
 /// Diagnostics of one `randCl` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,115 +42,68 @@ pub struct WalkTrace {
     pub compromised_hops: u64,
 }
 
-/// Per-cluster facts a walk re-reads on every visit, cached for the
-/// duration of one `randCl` invocation (membership and overlay are
-/// immutable while a walk runs, so the cache never goes stale).
-///
-/// Without this, every hop re-derived the overlay degree and re-fetched
-/// cluster size and `randNum`-security from the registry — the dominant
-/// wall-clock cost of the biased CTRW that every join performs
-/// (`bench_randcl` measures the win). Neighbor lists are *not* cached:
-/// [`crate::NowSystem`]'s overlay hands out its sorted slab slices by
-/// borrow, so a hop reads them allocation-free at the point of use.
-struct VertexFacts {
-    degree: usize,
-    size: u64,
-    /// Plain-model `randNum` security (< 1/3 Byzantine): gates the
-    /// [`crate::Malice`] hop-forcing hook.
-    secure_plain: bool,
-    /// Security under the deployment's [`crate::SecurityMode`]: gates
-    /// the collective draws themselves.
-    secure_mode: bool,
-}
-
-/// Looks up (or computes once) the walk-relevant facts of `c`.
-fn facts<'a>(
-    cache: &'a mut BTreeMap<ClusterId, VertexFacts>,
-    sys: &NowSystem,
-    c: ClusterId,
-) -> &'a VertexFacts {
-    cache.entry(c).or_insert_with(|| {
-        // INVARIANT: walk steps resolve neighbors from the live
-        // overlay, whose vertices are exactly the live clusters.
-        let cluster = sys.cluster(c).expect("walk visits live clusters");
-        VertexFacts {
-            degree: sys.overlay().degree(c),
-            size: cluster.size() as u64,
-            secure_plain: cluster.rand_num_secure(),
-            secure_mode: cluster.rand_num_secure_in(sys.params().security()),
-        }
-    })
-}
-
 impl NowSystem {
-    /// One collective draw of a walk step against pre-fetched cluster
-    /// facts: ledger spans and randomness stream are *identical* to
-    /// [`NowSystem::rand_num_in`] — this only skips the per-call
-    /// registry lookups the walk loop already has cached.
-    fn rand_num_prefetched(
-        &mut self,
-        c: ClusterId,
-        range: u64,
-        size: u64,
-        secure: bool,
-        purpose: crate::malice::RandNumPurpose,
-    ) -> u64 {
-        use rand::Rng as _;
-        let range = range.max(1);
-        self.ledger.begin(CostKind::RandNum);
-        self.ledger.add_messages(2 * size * size.saturating_sub(1));
-        self.ledger.add_rounds(2);
-        self.ledger.end();
-        if secure {
-            self.rng.gen_range(0..range)
-        } else {
-            let ctx = crate::malice::RandNumContext {
-                cluster: c,
-                purpose,
-            };
-            self.malice.rand_num(range, ctx, &mut self.rng)
-        }
-    }
-
     /// Runs `randCl` starting from cluster `start`; returns the selected
     /// cluster and the walk diagnostics. Costs are recorded under
     /// [`CostKind::RandCl`] (inclusive of the per-hop `randNum`s).
     ///
-    /// Hot path: every join performs this walk, so the per-cluster facts
-    /// a hop needs (overlay degree, neighbor list, cluster size,
-    /// `randNum` security) are cached across the walk's steps in a
-    /// [`VertexFacts`] table instead of being re-derived per hop, and
-    /// the two collective draws of a hop (Exp-holding-time and neighbor
-    /// choice) are issued back-to-back against one cached record. The
-    /// randomness stream and ledger accounting are bit-identical to the
-    /// naive per-hop derivation.
+    /// Hot path: every join, exchange partner choice and sample read
+    /// runs this walk (~log²m hops, two collective draws per hop). The
+    /// loop borrows the registry, overlay, ledger, stream and adversary
+    /// as disjoint fields; each hop reads the current neighbor slice
+    /// once (its length is the degree) and resolves only the chosen
+    /// neighbor's facts, by direct index. No per-walk state beyond the
+    /// current cluster's facts is kept (see the module docs).
     ///
     /// # Panics
     /// Panics if `start` is not a live cluster.
     pub fn rand_cl_from(&mut self, start: ClusterId) -> (ClusterId, WalkTrace) {
+        let NowSystem {
+            params,
+            registry,
+            overlay,
+            ledger,
+            rng,
+            malice,
+            ..
+        } = self;
+        let mode = params.security();
+        // `(size, secure under Plain, secure under the deployment mode)`:
+        // Plain security gates the `Malice` hop-forcing hook, the mode's
+        // security gates the collective draws.
+        let facts = |c: ClusterId| {
+            // INVARIANT: walks only visit `start` (checked live below)
+            // and overlay neighbors, and the overlay's vertices are
+            // exactly the live clusters.
+            let cluster = registry.cluster(c).expect("walk visits live clusters");
+            let size = cluster.size() as u64;
+            (
+                size,
+                cluster.rand_num_secure(),
+                cluster.rand_num_secure_in(mode),
+            )
+        };
         assert!(
-            self.registry.contains_cluster(start),
+            registry.contains_cluster(start),
             "rand_cl_from: unknown cluster {start}"
         );
-        self.ledger.begin(CostKind::RandCl);
+        ledger.begin(CostKind::RandCl);
         let mut trace = WalkTrace {
             hops: 0,
             restarts: 0,
             compromised_hops: 0,
         };
-        let m = self.overlay.vertex_count();
+        let m = overlay.vertex_count();
         if m <= 1 {
-            self.ledger.end();
+            ledger.end();
             return (start, trace);
         }
 
-        let duration = self.params.ctrw_duration(m);
+        let duration = params.ctrw_duration(m);
         let mut current = start;
+        let (mut size, mut secure_plain, mut secure_mode) = facts(start);
         // Resolution for fixed-point randomness drawn via randNum.
         const RES: u64 = 1 << 24;
-        // Nothing mutates membership or overlay while a walk runs, so
-        // the facts cache stays valid across hops *and* restarts.
-        let mut cache: BTreeMap<ClusterId, VertexFacts> = BTreeMap::new();
 
         // Hard per-invocation hop cap: compromised clusters can rush
         // their holding times to ~0 (see `Malice`), so a Byzantine-dense
@@ -147,28 +111,29 @@ impl NowSystem {
         // consuming walk-time. Honest walks use ~log²m hops; the cap is
         // far above that and only binds under heavy compromise.
         let hop_cap = 2_000 + 200 * (m as u64);
-        for _restart in 0..=self.params.max_walk_restarts() {
+        for _restart in 0..=params.max_walk_restarts() {
             let mut remaining = duration;
             // One CTRW.
             loop {
                 if trace.hops >= hop_cap {
-                    self.ledger.end();
+                    ledger.end();
                     return (current, trace);
                 }
-                let cur = facts(&mut cache, self, current);
-                let (degree, size, secure_plain, secure_mode) =
-                    (cur.degree, cur.size, cur.secure_plain, cur.secure_mode);
+                let nbrs = overlay.neighbors(current);
+                let degree = nbrs.len();
                 if degree == 0 {
                     break; // isolated vertex absorbs the walk
                 }
                 // Collaborative holding time: Exp(degree), derived from a
                 // randNum draw (compromised clusters control it).
-                let u = self.rand_num_prefetched(
+                let u = collective_draw(
+                    ledger,
+                    rng,
+                    (!secure_mode).then_some(&mut **malice),
                     current,
-                    RES,
                     size,
-                    secure_mode,
-                    crate::malice::RandNumPurpose::WalkHoldingTime,
+                    RES,
+                    RandNumPurpose::WalkHoldingTime,
                 );
                 let unit = (u as f64 + 1.0) / (RES as f64 + 1.0);
                 let hold = -unit.ln() / degree as f64;
@@ -177,52 +142,54 @@ impl NowSystem {
                 }
                 remaining -= hold;
                 // Collaborative neighbor choice.
-                let idx = self.rand_num_prefetched(
+                let idx = collective_draw(
+                    ledger,
+                    rng,
+                    (!secure_mode).then_some(&mut **malice),
                     current,
-                    degree as u64,
                     size,
-                    secure_mode,
-                    crate::malice::RandNumPurpose::WalkNeighborChoice,
+                    degree as u64,
+                    RandNumPurpose::WalkNeighborChoice,
                 ) as usize;
-                let nbrs = self.overlay.neighbors(current);
-                // INVARIANT: walks only stand on vertices with nonempty
-                // neighbor lists; `min` clamps the drawn index into bounds.
-                let mut next = nbrs[idx.min(nbrs.len() - 1)];
+                // INVARIANT: `degree = nbrs.len() > 0` (checked above);
+                // `min` clamps the drawn index into bounds.
+                let mut next = nbrs[idx.min(degree - 1)];
                 if !secure_plain {
                     trace.compromised_hops += 1;
-                    if let Some(forced) = self.malice.walk_hop(nbrs, &mut self.rng) {
+                    if let Some(forced) = malice.walk_hop(nbrs, rng) {
                         if nbrs.contains(&forced) {
                             next = forced;
                         }
                     }
                 }
                 // Quorum-validated hand-off message C → C'.
-                let to_size = facts(&mut cache, self, next).size;
-                self.ledger.add_messages(size * to_size);
-                self.ledger.add_rounds(1);
+                let (to_size, to_plain, to_mode) = facts(next);
+                ledger.add_messages(size * to_size);
+                ledger.add_rounds(1);
                 trace.hops += 1;
                 current = next;
+                (size, secure_plain, secure_mode) = (to_size, to_plain, to_mode);
             }
             // Size-biased acceptance at the endpoint.
-            let cur = facts(&mut cache, self, current);
-            let (size, secure_mode) = (cur.size, cur.secure_mode);
-            let p_accept = self.params.acceptance_probability(size as usize);
-            let draw = self.rand_num_prefetched(
+            let p_accept = params.acceptance_probability(size as usize);
+            let draw = collective_draw(
+                ledger,
+                rng,
+                (!secure_mode).then_some(&mut **malice),
                 current,
-                RES,
                 size,
-                secure_mode,
-                crate::malice::RandNumPurpose::WalkAcceptance,
+                RES,
+                RandNumPurpose::WalkAcceptance,
             );
             if (draw as f64 + 0.5) / RES as f64 <= p_accept {
-                self.ledger.end();
+                ledger.end();
                 return (current, trace);
             }
             trace.restarts += 1;
         }
         // Restart cap exhausted (never in the invariant regime; see
         // NowParams::max_walk_restarts) — accept the current endpoint.
-        self.ledger.end();
+        ledger.end();
         (current, trace)
     }
 }

@@ -10,17 +10,25 @@
 //! * **cluster slab** — [`Cluster`] objects (sorted member vecs plus
 //!   cached Byzantine counts) live in one `Vec` of generation-tagged
 //!   slots, recycled through a freelist on merge. Lookup by
-//!   [`ClusterId`] is a binary search over the parallel sorted id/slot
-//!   arrays; [`Registry::cluster_ids`] is a borrow of the sorted cache.
+//!   [`ClusterId`] is a direct array index (`cluster_index[raw id]`);
+//!   the sorted id array is kept only as the canonical iteration order,
+//!   and [`Registry::cluster_ids`] borrows it.
 //! * **node slab + direct index** — node records live in a second slab,
 //!   and `node → slot` resolution is a direct array index
-//!   (`node_index[raw id]`): ids are allocated sequentially by
-//!   [`now_net::IdGen`], so the index stays dense and
-//!   [`Registry::node_ids`] is an ascending scan, already sorted.
+//!   (`node_index[raw id]`), so [`Registry::node_ids`] is an ascending
+//!   scan, already sorted.
 //! * **exact aggregates** — a global population counter, a global
 //!   Byzantine counter, and the sorted cluster-id cache, all maintained
 //!   incrementally, so `population()` / `byz_population()` /
 //!   `cluster_ids()` are O(1).
+//!
+//! **Dense-id contract.** Both direct indexes are `Vec<u32>`s addressed
+//! by raw id, with a `NO_SLOT` sentinel for absent ids. They rely on
+//! [`now_net::IdGen`] minting node ids and cluster ids from two
+//! separate monotone counters starting at zero: the index length is the
+//! number of ids ever issued (a few bytes per id, never per-live-entry
+//! bookkeeping), and resolving an id is one bounds-checked load — the
+//! walk kernel's per-hop cluster lookup depends on that.
 //!
 //! **Generational indices.** A [`ClusterIdx`] / [`NodeIdx`] names a
 //! slab slot *and* the generation the slot had when the index was
@@ -50,7 +58,7 @@ use now_net::{ClusterId, NodeId};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
-/// Sentinel in the direct node index: "no slot".
+/// Sentinel in the direct node and cluster indexes: "no slot".
 const NO_SLOT: u32 = u32::MAX;
 
 /// One node's registry entry: the simulator's ground-truth honesty flag
@@ -128,12 +136,14 @@ pub struct Registry {
     /// The cluster slab; freed slots are recycled via `cluster_free`.
     cluster_slots: Vec<ClusterSlot>,
     cluster_free: Vec<u32>,
-    /// All live cluster ids, sorted ascending (kept exact on
-    /// insert/remove; O(#C) memmove there buys O(1) random access and
-    /// allocation-free iteration everywhere else).
+    /// Direct map `raw ClusterId → cluster slab slot` (`NO_SLOT` =
+    /// absent): the id resolver. Cluster ids are sequential, so this
+    /// stays dense (see the module's dense-id contract).
+    cluster_index: Vec<u32>,
+    /// All live cluster ids, sorted ascending: the canonical iteration
+    /// order only (kept exact on insert/remove; O(#C) memmove there
+    /// buys O(1) random access and allocation-free iteration).
     sorted_clusters: Vec<ClusterId>,
-    /// Slab slot of `sorted_clusters[i]` (parallel array).
-    sorted_slots: Vec<u32>,
     /// The node slab; freed slots are recycled via `node_free`.
     node_slots: Vec<NodeSlot>,
     node_free: Vec<u32>,
@@ -150,14 +160,13 @@ impl Registry {
         Registry::default()
     }
 
-    /// Slab slot of a live cluster, by id (binary search over the
-    /// sorted cache).
+    /// Slab slot of a live cluster, by id (direct index).
     #[inline]
     fn cluster_slot_of(&self, id: ClusterId) -> Option<u32> {
-        self.sorted_clusters
-            .binary_search(&id)
-            .ok()
-            .map(|pos| self.sorted_slots[pos])
+        match self.cluster_index.get(id.raw() as usize) {
+            Some(&slot) if slot != NO_SLOT => Some(slot),
+            _ => None,
+        }
     }
 
     /// Slab slot of a live node, by id (direct index).
@@ -293,8 +302,12 @@ impl Registry {
                 (self.cluster_slots.len() - 1) as u32
             }
         };
+        let raw = id.raw() as usize;
+        if self.cluster_index.len() <= raw {
+            self.cluster_index.resize(raw + 1, NO_SLOT);
+        }
+        self.cluster_index[raw] = slot;
         self.sorted_clusters.insert(pos, id);
-        self.sorted_slots.insert(pos, slot);
     }
 
     /// Removes a cluster from the store, freeing (and
@@ -305,7 +318,7 @@ impl Registry {
     /// first) — removing a populated cluster would corrupt the counters.
     pub fn remove_cluster(&mut self, id: ClusterId) -> Option<Cluster> {
         let pos = self.sorted_clusters.binary_search(&id).ok()?;
-        let slot = self.sorted_slots[pos];
+        let slot = self.cluster_index[id.raw() as usize];
         let s = &mut self.cluster_slots[slot as usize];
         assert!(
             s.cluster.is_empty(),
@@ -316,8 +329,8 @@ impl Registry {
         s.live = false;
         s.gen = s.gen.wrapping_add(1);
         self.cluster_free.push(slot);
+        self.cluster_index[id.raw() as usize] = NO_SLOT;
         self.sorted_clusters.remove(pos);
-        self.sorted_slots.remove(pos);
         Some(removed)
     }
 
@@ -354,9 +367,9 @@ impl Registry {
 
     /// Iterates clusters in ascending id order.
     pub fn clusters(&self) -> impl Iterator<Item = &Cluster> {
-        self.sorted_slots
-            .iter()
-            .map(move |&slot| &self.cluster_slots[slot as usize].cluster)
+        self.sorted_clusters.iter().map(move |&id| {
+            &self.cluster_slots[self.cluster_index[id.raw() as usize] as usize].cluster
+        })
     }
 
     /// A generation-checked index for a live cluster.
@@ -528,10 +541,10 @@ impl Registry {
     // Exactness.
     // ------------------------------------------------------------------
 
-    /// Re-derives every aggregate and cross-checks the direct node
-    /// index, the slab freelists, the member vecs, the cached Byzantine
-    /// counts, the sorted cluster cache, and the global counters.
-    /// O(n + #C + slab capacity).
+    /// Re-derives every aggregate and cross-checks the direct node and
+    /// cluster indexes, the slab freelists, the member vecs, the cached
+    /// Byzantine counts, the sorted cluster cache, and the global
+    /// counters. O(n + #C + slab capacity + ids issued).
     ///
     /// # Errors
     /// A human-readable description of the first inconsistency found.
@@ -612,23 +625,19 @@ impl Registry {
             }
         }
 
-        // Cluster store: sorted cache + slab + member vecs + byz caches.
-        if self.sorted_clusters.len() != self.sorted_slots.len() {
-            return Err("sorted cluster cache arrays disagree in length".to_string());
-        }
+        // Cluster store: sorted cache + direct index + slab + member
+        // vecs + byz caches.
         // INVARIANT: `windows(2)` only yields slices of length 2.
         if self.sorted_clusters.windows(2).any(|w| w[0] >= w[1]) {
             return Err("sorted cluster cache out of order".to_string());
         }
         let mut memberships = 0u64;
-        for (pos, (&cid, &slot)) in self
-            .sorted_clusters
-            .iter()
-            .zip(&self.sorted_slots)
-            .enumerate()
-        {
+        for &cid in &self.sorted_clusters {
+            let Some(slot) = self.cluster_slot_of(cid) else {
+                return Err(format!("cluster index does not resolve live {cid}"));
+            };
             let Some(cs) = self.cluster_slots.get(slot as usize) else {
-                return Err(format!("sorted cache pos {pos} slot {slot} out of range"));
+                return Err(format!("cluster {cid} indexed at out-of-range slot {slot}"));
             };
             if !cs.live {
                 return Err(format!("cluster {cid} cached at dead slot {slot}"));
@@ -665,6 +674,14 @@ impl Registry {
             return Err(format!(
                 "membership drift: {memberships} memberships vs {} index entries",
                 self.population
+            ));
+        }
+        // Every live id resolves (checked above); nothing else may.
+        let indexed = self.cluster_index.iter().filter(|&&s| s != NO_SLOT).count();
+        if indexed != self.sorted_clusters.len() {
+            return Err(format!(
+                "cluster index drift: {indexed} ids resolve, {} clusters live",
+                self.sorted_clusters.len()
             ));
         }
         let live_clusters = self.cluster_slots.iter().filter(|s| s.live).count();
@@ -1097,6 +1114,54 @@ mod tests {
         assert_eq!(new_cluster.slot, old_cluster.slot);
         assert_ne!(new_cluster.gen, old_cluster.gen);
         reg.check_invariants().unwrap();
+    }
+
+    /// The direct cluster index forgets a removed id for good, even
+    /// after its slab slot is recycled by a newer cluster.
+    #[test]
+    fn removed_cluster_id_stays_unresolvable_after_slot_recycling() {
+        let mut reg = registry_with(3, 2);
+        for n in reg.cluster(cid(1)).unwrap().member_vec() {
+            reg.detach(n).unwrap();
+        }
+        let freed = reg.cluster_idx(cid(1)).unwrap().slot;
+        reg.remove_cluster(cid(1)).unwrap();
+        reg.create_cluster(cid(3));
+        assert_eq!(
+            reg.cluster_idx(cid(3)).unwrap().slot,
+            freed,
+            "slot recycled"
+        );
+        reg.attach(nid(50), false, cid(3));
+        for gone in [cid(1), cid(99), cid(u64::MAX)] {
+            assert!(reg.cluster(gone).is_none(), "{gone}");
+            assert!(!reg.contains_cluster(gone), "{gone}");
+            assert!(reg.cluster_stats(gone).is_none(), "{gone}");
+            assert!(reg.cluster_idx(gone).is_none(), "{gone}");
+        }
+        assert_eq!(reg.cluster(cid(3)).unwrap().member_vec(), vec![nid(50)]);
+        assert_eq!(reg.cluster_ids(), &[cid(0), cid(2), cid(3)]);
+        reg.check_invariants().unwrap();
+    }
+
+    /// `check_invariants` re-derives the direct cluster index: a stale
+    /// entry for a dead id and a missing entry for a live one are both
+    /// reported.
+    #[test]
+    fn invariant_check_rederives_cluster_index() {
+        let mut reg = registry_with(2, 1);
+        reg.check_invariants().unwrap();
+        reg.cluster_index.push(reg.cluster_index[0]);
+        assert!(reg
+            .check_invariants()
+            .unwrap_err()
+            .contains("cluster index"));
+        reg.cluster_index.pop();
+        reg.cluster_index[1] = NO_SLOT;
+        assert!(reg
+            .check_invariants()
+            .unwrap_err()
+            .contains("cluster index"));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::malice::{Malice, NoMalice};
 use crate::params::NowParams;
 use crate::registry::Registry;
 use now_graph::sample::shuffle;
-use now_net::{ClusterId, CostKind, DetRng, IdGen, Ledger, NodeId};
+use now_net::{ClusterId, Cost, CostKind, DetRng, IdGen, Ledger, NodeId};
 use now_over::Overlay;
 use rand::Rng;
 use std::fmt;
@@ -33,6 +33,43 @@ pub struct NowSystem {
     pub(crate) split_count: u64,
     pub(crate) merge_count: u64,
     pub(crate) hub: crate::hub::TraceHub,
+}
+
+/// One collective `randNum` over `0..range` (clamped to ≥ 1) by
+/// cluster `c` of `size` members: the single place the primitive's cost
+/// is accounted, for the serial kernels and the wave planner alike.
+///
+/// The ledger records a leaf [`CostKind::RandNum`] span of
+/// `2·size·(size−1)` messages in 2 rounds. The value is a uniform draw
+/// from `rng`, or — when `adversary` is given because the cluster is
+/// compromised — whatever the adversary makes of `rng`.
+pub(crate) fn collective_draw(
+    ledger: &mut Ledger,
+    rng: &mut DetRng,
+    adversary: Option<&mut (dyn Malice + 'static)>,
+    c: ClusterId,
+    size: u64,
+    range: u64,
+    purpose: crate::malice::RandNumPurpose,
+) -> u64 {
+    let range = range.max(1);
+    ledger.leaf(
+        CostKind::RandNum,
+        Cost {
+            messages: 2 * size * size.saturating_sub(1),
+            rounds: 2,
+        },
+    );
+    match adversary {
+        Some(malice) => {
+            let ctx = crate::malice::RandNumContext {
+                cluster: c,
+                purpose,
+            };
+            malice.rand_num(range, ctx, rng)
+        }
+        None => rng.gen_range(0..range),
+    }
 }
 
 impl fmt::Debug for NowSystem {
@@ -375,33 +412,28 @@ impl NowSystem {
     }
 
     /// `randNum` within cluster `c` over `0..range`: ideal functionality
-    /// with the paper's cost (`2·|C|·(|C|−1)` messages, 2 rounds), with
-    /// [`Malice`] steering the output when the cluster is compromised.
-    /// `purpose` tells a strategic adversary what the draw decides.
+    /// with the paper's cost (see [`collective_draw`]), with [`Malice`]
+    /// steering the output when the cluster is compromised. `purpose`
+    /// tells a strategic adversary what the draw decides.
     pub(crate) fn rand_num_in(
         &mut self,
         c: ClusterId,
         range: u64,
         purpose: crate::malice::RandNumPurpose,
     ) -> u64 {
-        let range = range.max(1);
-        let mode = self.params.security();
         let cluster = self.cluster_ref(c);
         let size = cluster.size() as u64;
-        let secure = cluster.rand_num_secure_in(mode);
-        self.ledger.begin(CostKind::RandNum);
-        self.ledger.add_messages(2 * size * size.saturating_sub(1));
-        self.ledger.add_rounds(2);
-        self.ledger.end();
-        if secure {
-            self.rng.gen_range(0..range)
-        } else {
-            let ctx = crate::malice::RandNumContext {
-                cluster: c,
-                purpose,
-            };
-            self.malice.rand_num(range, ctx, &mut self.rng)
-        }
+        let secure = cluster.rand_num_secure_in(self.params.security());
+        let adversary = (!secure).then_some(&mut *self.malice);
+        collective_draw(
+            &mut self.ledger,
+            &mut self.rng,
+            adversary,
+            c,
+            size,
+            range,
+            purpose,
+        )
     }
 
     /// Accounts the cost of cluster `c` announcing its new composition

@@ -81,10 +81,10 @@
 
 use crate::batch::{BatchReport, WaveStats};
 use crate::error::NowError;
-use crate::malice::{Malice, RandNumContext, RandNumPurpose};
+use crate::malice::{Malice, RandNumPurpose};
 use crate::params::{NowParams, SecurityMode};
 use crate::registry::Registry;
-use crate::system::NowSystem;
+use crate::system::{collective_draw, NowSystem};
 use now_net::{ClusterId, Cost, CostKind, DetRng, Ledger, NodeId};
 use now_over::Overlay;
 use now_trace::{SpanTotal, TraceData};
@@ -396,25 +396,23 @@ impl<'c, 'a> Planner<'c, 'a> {
     // ---------------------------------------------------------------
 
     fn rand_num(&mut self, c: ClusterId, range: u64, purpose: RandNumPurpose) -> u64 {
-        let range = range.max(1);
         let (size, _, secure) = self.cluster_security(c);
-        self.ledger.begin(CostKind::RandNum);
-        self.ledger.add_messages(2 * size * size.saturating_sub(1));
-        self.ledger.add_rounds(2);
-        self.ledger.end();
-        if secure {
-            self.rng.gen_range(0..range)
-        } else if let Some(malice) = self.malice.as_mut() {
-            let ctx = RandNumContext {
-                cluster: c,
-                purpose,
-            };
-            malice.rand_num(range, ctx, &mut self.rng)
+        // Neutral-adversary planning carries no `malice`: a compromised
+        // draw is then the uniform one, exactly `NoMalice::rand_num`.
+        let adversary = if secure {
+            None
         } else {
-            // Neutral-adversary planning: `NoMalice::rand_num` is the
-            // same uniform draw, so the streams coincide.
-            self.rng.gen_range(0..range)
-        }
+            self.malice.as_deref_mut()
+        };
+        collective_draw(
+            &mut self.ledger,
+            &mut self.rng,
+            adversary,
+            c,
+            size,
+            range,
+            purpose,
+        )
     }
 
     /// Mirror of [`NowSystem::rand_cl_from`] against the op's view.

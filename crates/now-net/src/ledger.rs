@@ -75,6 +75,12 @@ impl CostKind {
         CostKind::Other,
     ];
 
+    /// Position of this kind in [`CostKind::ALL`] (the declaration
+    /// order), used to index per-kind tables.
+    fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable short name used in CSV headers.
     pub fn name(self) -> &'static str {
         match self {
@@ -234,7 +240,8 @@ struct Span {
 pub struct Ledger {
     stack: Vec<Span>,
     total: Cost,
-    stats: std::collections::BTreeMap<CostKind, CostStats>,
+    /// Per-kind aggregates, indexed by [`CostKind::index`].
+    stats: [CostStats; CostKind::ALL.len()],
     records: Vec<OpRecord>,
     keep_records: bool,
 }
@@ -275,7 +282,7 @@ impl Ledger {
             // INVARIANT: documented contract — `end` pairs with a
             // preceding `begin`; an unbalanced call is a caller bug.
             .expect("Ledger::end called with no open span");
-        self.stats.entry(span.kind).or_default().absorb(span.cost);
+        self.stats[span.kind.index()].absorb(span.cost);
         if self.keep_records {
             self.records.push(OpRecord {
                 kind: span.kind,
@@ -308,6 +315,26 @@ impl Ledger {
         self.add_rounds(cost.rounds);
     }
 
+    /// Records a complete leaf span in one pass: exactly `begin(kind)`,
+    /// `add(cost)`, `end()` — same totals, same attribution to every
+    /// open span, same stats, same record at the current depth — for
+    /// the hot sub-protocols (one `randNum` per walk draw) whose spans
+    /// never nest anything.
+    pub fn leaf(&mut self, kind: CostKind, cost: Cost) {
+        self.total += cost;
+        for span in &mut self.stack {
+            span.cost += cost;
+        }
+        self.stats[kind.index()].absorb(cost);
+        if self.keep_records {
+            self.records.push(OpRecord {
+                kind,
+                cost,
+                depth: self.stack.len(),
+            });
+        }
+    }
+
     /// Global total across all activity.
     pub fn total(&self) -> Cost {
         self.total
@@ -315,7 +342,7 @@ impl Ledger {
 
     /// Aggregate statistics for one kind (zero stats if never seen).
     pub fn stats(&self, kind: CostKind) -> CostStats {
-        self.stats.get(&kind).copied().unwrap_or_default()
+        self.stats[kind.index()]
     }
 
     /// All retained per-operation records (empty unless constructed with
@@ -360,8 +387,8 @@ impl Ledger {
         for span in &mut self.stack {
             span.cost += child.total;
         }
-        for (kind, stats) in &child.stats {
-            self.stats.entry(*kind).or_default().merge(stats);
+        for (stats, child_stats) in self.stats.iter_mut().zip(&child.stats) {
+            stats.merge(child_stats);
         }
         if self.keep_records {
             let depth = self.stack.len();
@@ -513,6 +540,54 @@ mod tests {
         assert_eq!(inline.records(), merged.records());
     }
 
+    /// `leaf` is the one-pass spelling of `begin`/`add`/`end`: stats,
+    /// totals, open-span costs and records (with depth) must match the
+    /// three-call form exactly, recording or not.
+    #[test]
+    fn leaf_matches_begin_add_end() {
+        let leaves = [
+            (CostKind::RandNum, 12, 2),
+            (CostKind::RandNum, 0, 2),
+            (CostKind::Other, 7, 0),
+        ];
+        for recording in [false, true] {
+            let fresh = || {
+                let mut l = if recording {
+                    Ledger::recording()
+                } else {
+                    Ledger::new()
+                };
+                l.begin(CostKind::Join);
+                l.add_messages(3);
+                l.begin(CostKind::RandCl);
+                l
+            };
+            let mut spelled = fresh();
+            let mut one_pass = fresh();
+            for (kind, messages, rounds) in leaves {
+                spelled.begin(kind);
+                spelled.add_messages(messages);
+                spelled.add_rounds(rounds);
+                spelled.end();
+                one_pass.leaf(kind, Cost { messages, rounds });
+            }
+            assert_eq!(spelled.total(), one_pass.total());
+            for kind in CostKind::ALL {
+                assert_eq!(spelled.stats(kind), one_pass.stats(kind), "{kind}");
+            }
+            assert_eq!(spelled.records(), one_pass.records());
+            assert_eq!(spelled.records().len(), if recording { 3 } else { 0 });
+            assert!(spelled.records().iter().all(|r| r.depth == 2));
+            for depth in (0..2).rev() {
+                assert_eq!(spelled.end(), one_pass.end(), "open span {depth}");
+            }
+            assert_eq!(spelled.records(), one_pass.records());
+            for kind in CostKind::ALL {
+                assert_eq!(spelled.stats(kind), one_pass.stats(kind), "{kind}");
+            }
+        }
+    }
+
     #[test]
     fn merge_child_into_non_recording_parent_drops_records() {
         let mut parent = Ledger::new();
@@ -583,5 +658,12 @@ mod tests {
         use std::collections::HashSet;
         let names: HashSet<&str> = CostKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), CostKind::ALL.len());
+    }
+
+    #[test]
+    fn kind_index_is_position_in_all() {
+        for (i, kind) in CostKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind}");
+        }
     }
 }

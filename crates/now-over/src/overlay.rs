@@ -6,6 +6,9 @@ use now_graph::Graph;
 use now_net::ClusterId;
 use rand::Rng;
 
+/// Sentinel in the direct vertex index: "no slot".
+const NO_SLOT: u32 = u32::MAX;
+
 /// One vertex of the overlay slab: its id, its sorted neighbor vec, and
 /// its position in the uniform-sampling pool.
 #[derive(Debug, Clone)]
@@ -23,13 +26,19 @@ struct VertexSlot {
 /// with structural enforcement of the degree cap and floor-repair on
 /// removals.
 ///
-/// Storage is a slab of [`VertexSlot`]s (freelist-recycled on removal)
-/// plus a sorted `(id, slot)` index: neighbor sets are per-vertex
-/// sorted vecs, so [`Overlay::neighbors`] is a borrow — zero
-/// allocation — and iteration is a contiguous scan in canonical id
-/// order. The previous `BTreeMap<ClusterId, BTreeSet<ClusterId>>`
-/// layout paid a pointer chase per neighbor on every footprint
-/// computation and planner walk.
+/// Storage is a slab of [`VertexSlot`]s (freelist-recycled on removal),
+/// a direct `raw id → slot` map, and a sorted id list: neighbor sets
+/// are per-vertex sorted vecs, so [`Overlay::neighbors`] is a borrow —
+/// zero allocation, one direct-map load to resolve the id — and
+/// iteration is a contiguous scan in canonical id order.
+///
+/// **Dense-id contract.** The direct map is a `Vec<u32>` addressed by
+/// raw [`ClusterId`] with a `NO_SLOT` sentinel, exactly like the
+/// membership registry's node and cluster indexes: cluster ids are
+/// minted by a monotone counter from zero (`now_net::IdGen`), so its
+/// length is the number of cluster ids ever issued. The sorted id list
+/// is kept for the canonical iteration order only; no lookup searches
+/// it.
 ///
 /// Neighbor selection for maintenance comes in two flavors:
 /// * `*_uniform` methods sample uniformly from the live vertices — the
@@ -42,16 +51,18 @@ pub struct Overlay {
     /// The vertex slab; freed slots are recycled via `free`.
     slots: Vec<VertexSlot>,
     free: Vec<u32>,
-    /// Live `(id, slot)` pairs sorted by id: the canonical iteration
-    /// order and the id → slot resolver (binary search).
-    index: Vec<(ClusterId, u32)>,
+    /// Direct map `raw ClusterId → slab slot` (`NO_SLOT` = absent):
+    /// the id resolver.
+    slot_index: Vec<u32>,
+    /// Live ids, sorted ascending: the canonical iteration order.
+    sorted_ids: Vec<ClusterId>,
     params: OverParams,
     edges: usize,
     /// Live vertices in arbitrary (insertion/swap-remove) order: the
     /// incrementally maintained candidate pool that uniform maintenance
     /// sampling indexes into. Each vertex's position lives in its slab
-    /// slot (`pool_pos`), so pool upkeep is O(log V) for the slot
-    /// lookup and O(1) for the swap-remove.
+    /// slot (`pool_pos`), so pool upkeep is O(1): a direct-index slot
+    /// lookup and a swap-remove.
     sample_pool: Vec<ClusterId>,
 }
 
@@ -61,7 +72,8 @@ impl Overlay {
         Overlay {
             slots: Vec::new(),
             free: Vec::new(),
-            index: Vec::new(),
+            slot_index: Vec::new(),
+            sorted_ids: Vec::new(),
             params,
             edges: 0,
             sample_pool: Vec::new(),
@@ -97,13 +109,13 @@ impl Overlay {
         overlay
     }
 
-    /// Slab slot of a live vertex, by id.
+    /// Slab slot of a live vertex, by id (direct index).
     #[inline]
     fn slot_of(&self, id: ClusterId) -> Option<u32> {
-        self.index
-            .binary_search_by_key(&id, |&(i, _)| i)
-            .ok()
-            .map(|pos| self.index[pos].1)
+        match self.slot_index.get(id.raw() as usize) {
+            Some(&slot) if slot != NO_SLOT => Some(slot),
+            _ => None,
+        }
     }
 
     /// Static parameters.
@@ -113,7 +125,7 @@ impl Overlay {
 
     /// Number of vertices (clusters).
     pub fn vertex_count(&self) -> usize {
-        self.index.len()
+        self.sorted_ids.len()
     }
 
     /// Number of overlay edges.
@@ -128,7 +140,7 @@ impl Overlay {
 
     /// Iterator over live vertices in id order.
     pub fn vertices(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        self.index.iter().map(|&(id, _)| id)
+        self.sorted_ids.iter().copied()
     }
 
     /// Degree of `id` (0 if absent).
@@ -155,7 +167,7 @@ impl Overlay {
 
     /// Inserts an isolated vertex (no-op if present).
     pub fn insert_vertex(&mut self, id: ClusterId) {
-        let pos = match self.index.binary_search_by_key(&id, |&(i, _)| i) {
+        let pos = match self.sorted_ids.binary_search(&id) {
             Ok(_) => return,
             Err(pos) => pos,
         };
@@ -179,12 +191,18 @@ impl Overlay {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.index.insert(pos, (id, slot));
+        let raw = id.raw() as usize;
+        if self.slot_index.len() <= raw {
+            self.slot_index.resize(raw + 1, NO_SLOT);
+        }
+        self.slot_index[raw] = slot;
+        self.sorted_ids.insert(pos, id);
         self.sample_pool.push(id);
     }
 
     /// Drops the vertex in `slot` from the incremental sampling pool
-    /// (O(1) swap-remove; O(log V) to fix the moved entry's position).
+    /// (O(1) swap-remove, plus one direct-index lookup to fix the moved
+    /// entry's position).
     fn forget_sample(&mut self, slot: u32) {
         let pos = self.slots[slot as usize].pool_pos as usize;
         self.sample_pool.swap_remove(pos);
@@ -341,11 +359,12 @@ impl Overlay {
     /// degree floor by linking it to fresh uniform vertices. Returns
     /// the former neighbors.
     pub fn remove<R: Rng>(&mut self, id: ClusterId, rng: &mut R) -> Vec<ClusterId> {
-        let Some(pos) = self.index.binary_search_by_key(&id, |&(i, _)| i).ok() else {
+        let Ok(pos) = self.sorted_ids.binary_search(&id) else {
             return Vec::new();
         };
-        let slot = self.index[pos].1;
-        self.index.remove(pos);
+        let slot = self.slot_index[id.raw() as usize];
+        self.sorted_ids.remove(pos);
+        self.slot_index[id.raw() as usize] = NO_SLOT;
         self.forget_sample(slot);
         let former = {
             let v = &mut self.slots[slot as usize];
@@ -438,14 +457,25 @@ impl Overlay {
 
     /// Structural invariant check used by tests and debug assertions:
     /// symmetry, no self-loops, sorted neighbor vecs, consistent edge
-    /// count, degree cap, slab/freelist/pool exactness.
+    /// count, degree cap, slab/freelist/pool exactness, and a direct
+    /// index that resolves exactly the live ids.
     pub fn check_invariants(&self) -> Result<(), String> {
         // INVARIANT: `windows(2)` only yields slices of length 2.
-        if self.index.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err("vertex index out of order".to_string());
+        if self.sorted_ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("sorted vertex ids out of order".to_string());
+        }
+        let indexed = self.slot_index.iter().filter(|&&s| s != NO_SLOT).count();
+        if indexed != self.sorted_ids.len() {
+            return Err(format!(
+                "direct index drift: {indexed} ids resolve, {} vertices live",
+                self.sorted_ids.len()
+            ));
         }
         let mut count = 0usize;
-        for &(v, slot) in &self.index {
+        for &v in &self.sorted_ids {
+            let Some(slot) = self.slot_of(v) else {
+                return Err(format!("direct index does not resolve live {v}"));
+            };
             let Some(s) = self.slots.get(slot as usize) else {
                 return Err(format!("vertex {v} indexed at bogus slot {slot}"));
             };
@@ -483,10 +513,10 @@ impl Overlay {
             ));
         }
         let live = self.slots.iter().filter(|s| s.live).count();
-        if live != self.index.len() {
+        if live != self.sorted_ids.len() {
             return Err(format!(
                 "slab drift: {live} live slots vs {} indexed",
-                self.index.len()
+                self.sorted_ids.len()
             ));
         }
         if self.free.len() + live != self.slots.len() {
@@ -502,11 +532,11 @@ impl Overlay {
                 _ => return Err(format!("freelist holds live/bogus slot {slot}")),
             }
         }
-        if self.sample_pool.len() != self.index.len() {
+        if self.sample_pool.len() != self.sorted_ids.len() {
             return Err(format!(
                 "sampling pool drift: {} pooled, {} live",
                 self.sample_pool.len(),
-                self.index.len()
+                self.sorted_ids.len()
             ));
         }
         for (i, &v) in self.sample_pool.iter().enumerate() {
@@ -665,6 +695,51 @@ mod tests {
         overlay.add_uniform(ClusterId::from_raw(500), &mut rng);
         assert!(overlay.contains(ClusterId::from_raw(500)));
         overlay.check_invariants().unwrap();
+    }
+
+    /// A removed id stays unresolvable after a newer vertex recycles its
+    /// slab slot: no neighbors, degree 0, not contained.
+    #[test]
+    fn removed_id_stays_absent_after_slot_recycling() {
+        let mut rng = DetRng::new(10);
+        let mut overlay = Overlay::init_random(&ids(12), params(), &mut rng);
+        let victim = ClusterId::from_raw(4);
+        let freed = overlay.slot_of(victim).unwrap();
+        overlay.remove(victim, &mut rng);
+        let newcomer = ClusterId::from_raw(12);
+        overlay.add_uniform(newcomer, &mut rng);
+        assert_eq!(overlay.slot_of(newcomer), Some(freed), "slot recycled");
+        assert!(overlay.degree(newcomer) > 0);
+        for gone in [
+            victim,
+            ClusterId::from_raw(40),
+            ClusterId::from_raw(u64::MAX),
+        ] {
+            assert!(!overlay.contains(gone), "{gone}");
+            assert!(overlay.neighbors(gone).is_empty(), "{gone}");
+            assert_eq!(overlay.degree(gone), 0, "{gone}");
+            assert!(!overlay.has_edge(newcomer, gone), "{gone}");
+        }
+        overlay.check_invariants().unwrap();
+    }
+
+    /// `check_invariants` re-derives the direct index.
+    #[test]
+    fn invariant_check_rederives_direct_index() {
+        let mut rng = DetRng::new(11);
+        let mut overlay = Overlay::init_random(&ids(5), params(), &mut rng);
+        overlay.check_invariants().unwrap();
+        overlay.slot_index.push(overlay.slot_index[0]);
+        assert!(overlay
+            .check_invariants()
+            .unwrap_err()
+            .contains("direct index"));
+        overlay.slot_index.pop();
+        overlay.slot_index[1] = NO_SLOT;
+        assert!(overlay
+            .check_invariants()
+            .unwrap_err()
+            .contains("direct index"));
     }
 
     #[test]
